@@ -11,7 +11,9 @@ Two engines implement this model: the vectorized NumPy engine
 (:mod:`repro.netsim.engine`, the default) and the scalar pure-Python
 oracle (:mod:`repro.netsim.traffic` / :mod:`repro.netsim.contention`).
 ``REPRO_NETSIM=scalar`` selects the oracle; the two are bit-identical on
-every shared metric.
+every shared metric. The vector engine memoizes routed exchanges in a
+byte-budgeted :class:`~repro.exec.memo.Memo`; :func:`route_cache_stats`
+returns its :class:`~repro.exec.memo.CacheStats`.
 """
 
 from repro.netsim.traffic import LinkLoads, route_messages, RoutedMessage
@@ -28,7 +30,6 @@ from repro.netsim.engine import (
     LinkLoadVector,
     PlacementVector,
     RoutedExchange,
-    RouteCacheStats,
     active_backend,
     as_placement,
     link_id_of,
@@ -56,7 +57,6 @@ __all__ = [
     "LinkLoadVector",
     "PlacementVector",
     "RoutedExchange",
-    "RouteCacheStats",
     "active_backend",
     "as_placement",
     "link_id_of",

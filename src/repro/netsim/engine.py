@@ -42,12 +42,13 @@ kernels that are bit-identical to the scalar oracle:
   reductions, with the exact floating-point operation order of the scalar
   model so results match bit for bit.
 * **Route cache.** The identical exchange repeats every round, timestep,
-  and sweep config, so routed exchanges are memoised under
-  ``(torus dims, placement digest, message-set digest)``; eviction is
-  **byte-budgeted** (LRU above :func:`repro.netsim.budget.
-  route_cache_budget_bytes`), so cache residency scales with the
-  configured memory, not the rank count. Counters are exposed for the
-  profiling report via :func:`route_cache_stats`.
+  and sweep config, so routed exchanges are memoised in a
+  :class:`~repro.exec.memo.Memo` under ``(torus dims, placement digest,
+  message-set digest)``; eviction is **byte-budgeted** (LRU above
+  :func:`repro.netsim.budget.route_cache_budget_bytes`), so cache
+  residency scales with the configured memory, not the rank count.
+  Counters are exposed for the profiling report via
+  :func:`route_cache_stats`.
 
 The scalar implementation remains available as a parity oracle: set
 ``REPRO_NETSIM=scalar`` to route every exchange through it (the
@@ -60,14 +61,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.exec.memo import CacheStats, Memo
 from repro.netsim.budget import (
     expansion_hop_limit,
     route_cache_budget_bytes,
@@ -97,7 +97,6 @@ __all__ = [
     "SCALAR",
     "active_backend",
     "route_exchange_streamed",
-    "RouteCacheStats",
     "route_cache_stats",
     "reset_route_cache",
 ]
@@ -113,15 +112,8 @@ LINKS_PER_NODE = 6
 EXACT_BYTES_LIMIT = 2**53
 
 # Metrics published into the observability registry. Bound once at import
-# (registry resets zero in place, so these references never go stale) and
-# incremented unconditionally: one attribute add per exchange is far below
-# the digest hashing that keys the cache. The hit/miss/eviction counters
-# are zeroed together with the cache by :func:`reset_route_cache`, so they
-# match :func:`route_cache_stats` exactly at all times.
-_HITS = _obs_counter("netsim.route_cache.hits")
-_MISSES = _obs_counter("netsim.route_cache.misses")
-_EVICTIONS = _obs_counter("netsim.route_cache.evictions")
-_CACHE_BYTES = _obs_gauge("netsim.route_cache.resident_bytes")
+# (registry resets zero in place, so these references never go stale).
+# The route cache mirrors its own counters (``netsim.route_cache.*``).
 _MAX_LINK_BYTES = _obs_gauge("netsim.link_load.max_bytes")
 #: Streaming fan-out: exchanges that exceeded the one-shot expansion
 #: budget, and the bounded chunks they were expanded in.
@@ -654,110 +646,24 @@ class RoutedExchange:
 # ----------------------------------------------------------------------
 # Route cache
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RouteCacheStats:
-    """Route-cache counters for the profiling report."""
-
-    hits: int
-    misses: int
-    entries: int
-    evictions: int = 0
-    resident_bytes: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+def _routed_nbytes(value: tuple[RoutedExchange, LinkLoadVector]) -> int:
+    routed, loads = value
+    return routed.resident_nbytes + loads.resident_nbytes
 
 
-class _RouteCache:
-    """Byte-budgeted LRU of routed exchanges.
-
-    Keyed by ``(torus dims, placement digest, message-set digest)`` — the
-    exact identity of an exchange round. Values are immutable
-    (read-only arrays), so cache hits are shared, not copied. Eviction
-    is LRU-first once resident bytes exceed
-    :func:`repro.netsim.budget.route_cache_budget_bytes` (re-read each
-    insert, so tests and long-lived services can retune it); an entry
-    larger than the whole budget is never retained at all — the budget
-    wins over the warm path.
-    """
-
-    def __init__(self, maxsize: int = 256):
-        self.maxsize = maxsize
-        self._data: "OrderedDict[tuple, tuple[RoutedExchange, LinkLoadVector, int]]" = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.bytes = 0
-        # Request threads in the planning service share this cache;
-        # every operation (reset included) holds the lock so concurrent
-        # lookups can never tear the LRU order or the counters.
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple):
-        with self._lock:
-            entry = self._data.get(key)
-            if entry is None:
-                self.misses += 1
-                _MISSES.inc()
-                return None
-            self.hits += 1
-            _HITS.inc()
-            self._data.move_to_end(key)
-            return entry[0], entry[1]
-
-    def put(self, key: tuple, routed: RoutedExchange, loads: LinkLoadVector) -> None:
-        nbytes = routed.resident_nbytes + loads.resident_nbytes
-        budget = route_cache_budget_bytes()
-        with self._lock:
-            if nbytes > budget:
-                self.evictions += 1
-                _EVICTIONS.inc()
-                return
-            old = self._data.pop(key, None)
-            if old is not None:
-                self.bytes -= old[2]
-            self._data[key] = (routed, loads, nbytes)
-            self.bytes += nbytes
-            while self._data and (
-                len(self._data) > self.maxsize or self.bytes > budget
-            ):
-                _, (_, _, evicted_nbytes) = self._data.popitem(last=False)
-                self.bytes -= evicted_nbytes
-                self.evictions += 1
-                _EVICTIONS.inc()
-            _CACHE_BYTES.set(self.bytes)
-
-    def stats(self) -> RouteCacheStats:
-        with self._lock:
-            return RouteCacheStats(
-                hits=self.hits,
-                misses=self.misses,
-                entries=len(self._data),
-                evictions=self.evictions,
-                resident_bytes=self.bytes,
-            )
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.bytes = 0
-            _HITS.reset()
-            _MISSES.reset()
-            _EVICTIONS.reset()
-            _CACHE_BYTES.reset()
+#: Keyed by ``(torus dims, placement digest, message-set digest)`` — the
+#: exact identity of an exchange round. Values are immutable (read-only
+#: arrays), so hits are shared, not copied.
+_ROUTE_CACHE = Memo(
+    256,
+    sizer=_routed_nbytes,
+    budget=route_cache_budget_bytes,
+    mirror="netsim.route_cache",
+    shared=True,
+)
 
 
-_ROUTE_CACHE = _RouteCache()
-
-
-def route_cache_stats() -> RouteCacheStats:
+def route_cache_stats() -> CacheStats:
     """Current route-cache counters."""
     return _ROUTE_CACHE.stats()
 
@@ -802,7 +708,7 @@ class VectorBackend:
             hop_limit=expansion_hop_limit(),
             sparse=sparse_mode(num_links),
         )
-        _ROUTE_CACHE.put(key, routed, loads)
+        _ROUTE_CACHE.put(key, (routed, loads))
         return routed, loads
 
     def _route_uncached(

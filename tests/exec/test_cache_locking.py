@@ -1,11 +1,11 @@
-"""Cache locking + TTL policies: the reset-during-recommend regression.
+"""Cache locking + the TTL policy: the reset-during-recommend regression.
 
 Before the planning service, :func:`reset_plan_cache` /
 :func:`reset_placement_cache` raced unsynchronised against lookups —
 harmless in single-threaded sweeps, a torn-LRU/desynchronised-counter
 hazard once request threads share the caches. These tests hammer resets
 against concurrent lookups and pin down the TTL policy semantics on an
-injected clock.
+injected clock, as one contract run against every cache level.
 """
 
 from __future__ import annotations
@@ -16,33 +16,35 @@ import pytest
 
 from repro.core.mapping.base import SlotSpace
 from repro.core.mapping.oblivious import ObliviousMapping
+from repro.exec.memo import set_cache_policy
 from repro.exec.placementcache import (
     cached_placement,
     placement_cache_stats,
     reset_placement_cache,
-    set_placement_cache_policy,
 )
 from repro.exec.plancache import (
     plan_cache_stats,
     reset_plan_cache,
     sequential_plan,
-    set_plan_cache_policy,
 )
+from repro.netsim.engine import VECTOR, reset_route_cache, route_cache_stats
+from repro.runtime.halo import HaloSpec, halo_messages_array
 from repro.runtime.process_grid import ProcessGrid
 from repro.topology.torus import Torus3D
 
 
+def _reset_all():
+    set_cache_policy(ttl_s=None)
+    reset_plan_cache()
+    reset_placement_cache()
+    reset_route_cache()
+
+
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    set_plan_cache_policy(ttl_s=None)
-    set_placement_cache_policy(ttl_s=None)
-    reset_plan_cache()
-    reset_placement_cache()
+    _reset_all()
     yield
-    set_plan_cache_policy(ttl_s=None)
-    set_placement_cache_policy(ttl_s=None)
-    reset_plan_cache()
-    reset_placement_cache()
+    _reset_all()
 
 
 class _FakeClock:
@@ -56,74 +58,108 @@ class _FakeClock:
         self.now += dt
 
 
+def _route_lookup():
+    """One routed exchange; the routed half is the cached object."""
+    grid = ProcessGrid(4, 4)
+    batch = halo_messages_array(grid, grid.full_rect(), 64, 64, HaloSpec())
+    torus = Torus3D((2, 2, 2))
+    nodes = [torus.coord_of(i % torus.num_nodes) for i in range(16)]
+    return VECTOR.route_exchange(torus, nodes, batch)[0]
+
+
 # ----------------------------------------------------------------------
-# TTL policy semantics
+# TTL policy semantics: one contract, bound to each level below
 # ----------------------------------------------------------------------
-class TestPlanCacheTtl:
-    def test_entries_expire_lazily_on_lookup(self, pacific, two_siblings):
+class _TtlContract:
+    #: Whether the level sizes its entries (byte-budgeted levels do).
+    sized = True
+
+    def lookup(self):
+        raise NotImplementedError
+
+    def stats(self):
+        raise NotImplementedError
+
+    def test_entries_expire_lazily_on_lookup(self):
         clock = _FakeClock()
-        set_plan_cache_policy(ttl_s=10.0, clock=clock)
-        grid = ProcessGrid(16, 16)
-        first = sequential_plan(grid, pacific, two_siblings)
-        assert sequential_plan(grid, pacific, two_siblings) is first
+        set_cache_policy(ttl_s=10.0, clock=clock)
+        first = self.lookup()
+        assert self.lookup() is first
         clock.advance(10.5)
-        second = sequential_plan(grid, pacific, two_siblings)
-        assert second is not first  # stale entry was dropped and re-planned
-        stats = plan_cache_stats()
+        second = self.lookup()
+        assert second is not first  # stale entry was dropped and recomputed
+        stats = self.stats()
         assert stats.expired == 1
         assert stats.misses == 2  # the expiry counted as a miss too
-        assert stats.entries == 1  # re-planned entry is resident again
+        assert stats.entries == 1  # recomputed entry is resident again
 
-    def test_entries_survive_within_the_ttl(self, pacific, two_siblings):
+    def test_entries_survive_within_the_ttl(self):
         clock = _FakeClock()
-        set_plan_cache_policy(ttl_s=10.0, clock=clock)
-        grid = ProcessGrid(16, 16)
-        first = sequential_plan(grid, pacific, two_siblings)
+        set_cache_policy(ttl_s=10.0, clock=clock)
+        first = self.lookup()
         clock.advance(9.9)
-        assert sequential_plan(grid, pacific, two_siblings) is first
-        assert plan_cache_stats().expired == 0
+        assert self.lookup() is first
+        assert self.stats().expired == 0
 
-    def test_disabling_the_policy_stops_expiry(self, pacific, two_siblings):
+    def test_disabling_the_policy_stops_expiry(self):
         clock = _FakeClock()
-        set_plan_cache_policy(ttl_s=10.0, clock=clock)
-        grid = ProcessGrid(16, 16)
-        first = sequential_plan(grid, pacific, two_siblings)
-        set_plan_cache_policy(ttl_s=None)
+        set_cache_policy(ttl_s=10.0, clock=clock)
+        first = self.lookup()
+        set_cache_policy(ttl_s=None)
         clock.advance(1e6)
-        assert sequential_plan(grid, pacific, two_siblings) is first
-
-    def test_nonpositive_ttl_rejected(self):
-        with pytest.raises(ValueError, match="ttl_s must be > 0"):
-            set_plan_cache_policy(ttl_s=0.0)
-        with pytest.raises(ValueError, match="ttl_s must be > 0"):
-            set_plan_cache_policy(ttl_s=-5.0)
-
-
-class TestPlacementCacheTtl:
-    @staticmethod
-    def _lookup():
-        return cached_placement(
-            ObliviousMapping(), ProcessGrid(8, 4), SlotSpace(Torus3D((4, 4, 2)), 1)
-        )
+        assert self.lookup() is first
 
     def test_expiry_releases_the_byte_accounting(self):
         clock = _FakeClock()
-        set_placement_cache_policy(ttl_s=10.0, clock=clock)
-        first = self._lookup()
-        assert self._lookup() is first
-        resident = placement_cache_stats().resident_bytes
-        assert resident > 0
+        set_cache_policy(ttl_s=10.0, clock=clock)
+        first = self.lookup()
+        assert self.lookup() is first
+        resident = self.stats().resident_bytes
+        assert (resident > 0) == self.sized
         clock.advance(10.5)
-        second = self._lookup()
-        assert second is not first
-        stats = placement_cache_stats()
+        assert self.lookup() is not first
+        stats = self.stats()
         assert stats.expired == 1
-        # Expired bytes were released, then the re-placed entry re-added.
+        # Expired bytes were released, then the recomputed entry re-added.
         assert stats.resident_bytes == resident
 
     def test_nonpositive_ttl_rejected(self):
         with pytest.raises(ValueError, match="ttl_s must be > 0"):
-            set_placement_cache_policy(ttl_s=0.0)
+            set_cache_policy(ttl_s=0.0)
+        with pytest.raises(ValueError, match="ttl_s must be > 0"):
+            set_cache_policy(ttl_s=-5.0)
+
+
+class TestPlanCacheTtl(_TtlContract):
+    sized = False
+
+    @pytest.fixture(autouse=True)
+    def _domains(self, pacific, two_siblings):
+        self.domains = pacific, two_siblings
+
+    def lookup(self):
+        return sequential_plan(ProcessGrid(16, 16), *self.domains)
+
+    def stats(self):
+        return plan_cache_stats()
+
+
+class TestPlacementCacheTtl(_TtlContract):
+    def lookup(self):
+        return cached_placement(
+            ObliviousMapping(), ProcessGrid(8, 4), SlotSpace(Torus3D((4, 4, 2)), 1)
+        )
+
+    def stats(self):
+        return placement_cache_stats()
+
+
+class TestRouteCacheTtl(_TtlContract):
+    def lookup(self):
+        return _route_lookup()
+
+    def stats(self):
+        return route_cache_stats()
 
 
 # ----------------------------------------------------------------------
@@ -191,6 +227,14 @@ class TestResetDuringLookupHammer:
         cached_placement(ObliviousMapping(), grid, space)
         cached_placement(ObliviousMapping(), grid, space)
         stats = placement_cache_stats()
+        assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
+
+    def test_route_cache_reset_races_lookups_safely(self):
+        _hammer(_route_lookup, reset_route_cache, route_cache_stats)
+        reset_route_cache()
+        _route_lookup()
+        _route_lookup()
+        stats = route_cache_stats()
         assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
 
     def test_reset_races_a_full_recommend_sweep(self):

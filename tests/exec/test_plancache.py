@@ -96,7 +96,8 @@ def test_lru_evicts_oldest(domains, monkeypatch):
     grids = [ProcessGrid(8, 8), ProcessGrid(16, 16), ProcessGrid(32, 32)]
     for g in grids:
         sequential_plan(g, parent, siblings)
-    assert plan_cache_stats().entries == 2
+    stats = plan_cache_stats()
+    assert stats.entries == 2 and stats.evictions == 1
     # The oldest grid was evicted: looking it up again is a miss.
     before = plan_cache_stats().misses
     sequential_plan(grids[0], parent, siblings)

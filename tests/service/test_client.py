@@ -115,8 +115,10 @@ class _OneShotServer:
                         break
                     data += chunk
                 if data:
-                    conn.sendall(self._RESPONSE)
+                    # Count before replying: the client may check
+                    # ``served`` as soon as it has read the response.
                     self.served += 1
+                    conn.sendall(self._RESPONSE)
 
     def close(self) -> None:
         if not self._closed:

@@ -1,7 +1,7 @@
 """Unit tests for :class:`repro.service.state.ServiceState`.
 
 Covers request coalescing (leader/follower sharing one computation),
-the route-cache TTL governor with an injected clock, warm-start
+per-entry cache expiry on an injected clock, warm-start
 preloading, and the endpoint computations themselves.
 """
 
@@ -143,29 +143,47 @@ class TestCoalescing:
         assert a != b
 
 
-class TestRouteTtlGovernor:
-    def test_no_policy_never_flushes(self, fresh_caches):
+class TestCacheTtl:
+    """One TTL, on the state's clock, expires every cache level per entry."""
+
+    @staticmethod
+    def _levels():
+        return {
+            "plan": plan_cache_stats(),
+            "placement": placement_cache_stats(),
+            "route": route_cache_stats(),
+        }
+
+    def test_no_policy_never_expires(self, fresh_caches):
         clock = _FakeClock()
         st = ServiceState(ServicePolicy(), clock=clock)
         try:
+            st.simulate(SimulateRequest(ranks=64))
             clock.advance(1e6)
-            assert st.maybe_expire() is False
+            st.simulate(SimulateRequest(ranks=64))
+            assert all(s.expired == 0 for s in self._levels().values())
         finally:
             st.close()
 
-    def test_flushes_once_per_ttl_window(self, fresh_caches):
+    def test_every_level_expires_after_the_ttl(self, fresh_caches):
         clock = _FakeClock()
-        st = ServiceState(ServicePolicy(route_ttl_s=10.0), clock=clock)
+        st = ServiceState(ServicePolicy(cache_ttl_s=10.0), clock=clock)
         try:
-            st.simulate(SimulateRequest(ranks=64))  # populate route cache
-            assert route_cache_stats().entries > 0
-            assert st.maybe_expire() is False  # within the window
-            clock.advance(10.5)
-            assert st.maybe_expire() is True
-            assert route_cache_stats().entries == 0
-            assert st.maybe_expire() is False  # window restarted
-            clock.advance(10.5)
-            assert st.maybe_expire() is True
+            req = SimulateRequest(ranks=64)
+            body = dump_bytes(st.simulate(req))
+            cold = self._levels()
+            assert all(s.entries > 0 for s in cold.values())
+            clock.advance(9.9)  # inside the TTL: every lookup hits
+            assert dump_bytes(st.simulate(req)) == body
+            for name, s in self._levels().items():
+                assert s.expired == 0, name
+                assert s.misses == cold[name].misses, name
+            clock.advance(0.2)  # past the TTL of every insertion
+            assert dump_bytes(st.simulate(req)) == body
+            for name, s in self._levels().items():
+                assert s.expired == cold[name].entries, name
+                assert s.misses == cold[name].misses + s.expired, name
+                assert s.entries == cold[name].entries, name
         finally:
             st.close()
 
